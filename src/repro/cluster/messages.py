@@ -49,22 +49,6 @@ class TrafficMatrix:
             tm._counts += counts.reshape(num_machines, num_machines)
         return tm
 
-    @classmethod
-    def from_counts(cls, counts: np.ndarray) -> "TrafficMatrix":
-        """Build from a dense per-pair count matrix.
-
-        The diagonal is zeroed — local delivery is free, matching
-        :meth:`from_pairs`. Used by the parallel engine path, which
-        merges per-machine rows computed by pool workers.
-        """
-        arr = np.asarray(counts, dtype=np.int64)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise SimulationError(f"counts must be a square matrix, got {arr.shape}")
-        tm = cls(arr.shape[0])
-        tm._counts += arr
-        np.fill_diagonal(tm._counts, 0)
-        return tm
-
     @property
     def counts(self) -> np.ndarray:
         """The raw matrix (view)."""

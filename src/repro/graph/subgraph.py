@@ -54,11 +54,14 @@ def extract_subgraph(graph: CSRGraph, members: np.ndarray) -> Subgraph:
         ids = np.nonzero(members)[0].astype(np.int64)
         mask = members
     else:
-        ids = np.unique(members.astype(np.int64))
-        if ids.size and (ids[0] < 0 or ids[-1] >= n):
+        members = members.astype(np.int64).ravel()
+        if members.size and (members.min() < 0 or members.max() >= n):
             raise PartitionError("membership ids outside vertex range")
+        # Scatter into the mask, then read it back: sorted distinct ids
+        # without a sort or hash pass.
         mask = np.zeros(n, dtype=bool)
-        mask[ids] = True
+        mask[members] = True
+        ids = np.flatnonzero(mask)
 
     # Sharded identity extraction (all vertices are members): the induced
     # graph IS the input — return it without building a dense copy. This

@@ -20,8 +20,8 @@ an unlink, and :meth:`SharedArrayPool.close` tolerates the resulting
 Segments are created with the data copied in, never zero-copy views of
 the caller's array: the caller stays free to mutate or free its copy,
 and the shared pages have a single well-defined writer (the parent)
-for the few arrays that *are* mutated mid-run (the kernel's part
-vector, Gemini's active mask).
+for the one array that *is* mutated mid-run (the kernel's part
+vector).
 """
 
 from __future__ import annotations

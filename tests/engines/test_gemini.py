@@ -200,3 +200,33 @@ class TestEngineAccounting:
             / BSPCluster(4).cost_model.cores
         )
         assert np.allclose(ratio, 1.0)
+
+    def test_aggregated_messages_count_distinct_machine_vertex_pairs(self, powerlaw_small):
+        a = make_assignment(powerlaw_small)
+        res = GeminiEngine(BSPCluster(4), mode="push").run(powerlaw_small, a, PageRank(1))
+        src, dst = powerlaw_small.edge_array()
+        pairs = {
+            (int(a.parts[u]), int(v))
+            for u, v in zip(src, dst)
+            if a.parts[u] != a.parts[v]
+        }
+        assert res.total_messages == len(pairs)
+
+    def test_census_never_calls_numpy_unique(self, powerlaw_small, monkeypatch):
+        # Guard against the hash-based np.unique path returning to the
+        # per-superstep census: the bitmap dedup needs no unique call.
+        a = make_assignment(powerlaw_small)
+        expected = GeminiEngine(BSPCluster(4), mode="push").run(
+            powerlaw_small, make_assignment(powerlaw_small), PageRank(4)
+        )
+
+        def _forbidden(*args, **kwargs):
+            raise AssertionError("np.unique called during a Gemini run")
+
+        monkeypatch.setattr(np, "unique", _forbidden)
+        res = GeminiEngine(BSPCluster(4), mode="push", aggregate_messages=True).run(
+            powerlaw_small, a, PageRank(4)
+        )
+        assert res.iterations == 4
+        assert res.total_messages == expected.total_messages
+        assert res.ledger.total_runtime == expected.ledger.total_runtime

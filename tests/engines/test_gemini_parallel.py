@@ -1,28 +1,25 @@
-"""Serial-vs-parallel bit-parity for the Gemini engine's supersteps.
+"""Serial-vs-concurrent bit-parity for the Gemini engine's supersteps.
 
-The parallel census fans the per-machine superstep accounting out to a
-worker pool; because every reduction is merged in fixed machine order
-(and every quantity is an exactly-representable integer-valued float),
-the ledger, message counts, mode decisions, and vertex values must be
-bit-identical to the serial engine for any worker count — including
-after a worker crash mid-run.
+``GeminiEngine.run`` keeps its census bitmap per run and memoises the
+cut-arc and mirror structures on the (shared, immutable) assignment. So
+several engines running at once in threads over one fresh assignment —
+racing to build that memo — must each produce exactly the values,
+ledger, message counts, mode decisions and iteration count of a lone
+serial run.
 """
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
-from repro import telemetry
 from repro.cluster import BSPCluster
 from repro.engines.gemini import ConnectedComponents, GeminiEngine, PageRank
 from repro.graph import chung_lu
-from repro.parallel import shm_available
 from repro.partition import HashPartitioner
-
-pytestmark = pytest.mark.skipif(
-    not shm_available(), reason="no usable shared memory on this host"
-)
 
 
 @pytest.fixture(scope="module")
@@ -30,14 +27,27 @@ def graph():
     return chung_lu(600, 9.0, 2.2, rng=13)
 
 
-@pytest.fixture(scope="module")
-def assignment(graph):
+def _assignment(graph):
+    # A fresh assignment per call, so its derived cache starts empty.
     return HashPartitioner(seed=2).partition(graph, 4).assignment
 
 
-def _run(graph, assignment, program, *, jobs, mode="adaptive"):
-    engine = GeminiEngine(BSPCluster(4), mode=mode, jobs=jobs)
-    return engine.run(graph, assignment, program)
+def _run(graph, assignment, make_program, *, mode="adaptive"):
+    engine = GeminiEngine(BSPCluster(4), mode=mode)
+    return engine.run(graph, assignment, make_program())
+
+
+def _run_concurrently(graph, make_program, *, jobs, mode="adaptive"):
+    """``jobs`` threads run the program at once over one shared assignment."""
+    assignment = _assignment(graph)
+    start = threading.Barrier(jobs)
+
+    def task(_):
+        start.wait(timeout=30)
+        return _run(graph, assignment, make_program, mode=mode)
+
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(task, range(jobs)))
 
 
 def _assert_identical(base, par):
@@ -50,35 +60,19 @@ def _assert_identical(base, par):
 
 @pytest.mark.parametrize("jobs", [2, 4])
 @pytest.mark.parametrize("mode", ["push", "adaptive", "pull"])
-def test_pagerank_ledger_parity(graph, assignment, jobs, mode):
-    base = _run(graph, assignment, PageRank(iterations=6), jobs=1, mode=mode)
-    par = _run(graph, assignment, PageRank(iterations=6), jobs=jobs, mode=mode)
-    _assert_identical(base, par)
+def test_pagerank_ledger_parity(graph, jobs, mode):
+    make = lambda: PageRank(iterations=6)  # noqa: E731
+    base = _run(graph, _assignment(graph), make, mode=mode)
+    results = _run_concurrently(graph, make, jobs=jobs, mode=mode)
+    assert len(results) == jobs
+    for par in results:
+        _assert_identical(base, par)
 
 
 @pytest.mark.parametrize("jobs", [2, 4])
-def test_cc_ledger_parity(graph, assignment, jobs):
-    base = _run(graph, assignment, ConnectedComponents(), jobs=1)
-    par = _run(graph, assignment, ConnectedComponents(), jobs=jobs)
-    _assert_identical(base, par)
-
-
-def test_jobs_one_never_spawns(graph, assignment):
-    telemetry.set_enabled(True)
-    telemetry.reset()
-    _run(graph, assignment, PageRank(iterations=3), jobs=1)
-    counters = telemetry.registry().snapshot()["counters"]
-    assert counters.get("parallel.workers_spawned", 0) == 0
-
-
-def test_crashed_worker_falls_back_to_serial(graph, assignment, monkeypatch):
-    from repro.engines.gemini import engine as engine_mod
-
-    telemetry.set_enabled(True)
-    telemetry.reset()
-    monkeypatch.setattr(engine_mod, "_CENSUS_TASK", "tests.parallel._tasks:crash")
-    base = _run(graph, assignment, PageRank(iterations=5), jobs=1)
-    par = _run(graph, assignment, PageRank(iterations=5), jobs=2)
-    _assert_identical(base, par)
-    counters = telemetry.registry().snapshot()["counters"]
-    assert counters.get('parallel.fallbacks{site="gemini.crash"}', 0) >= 1
+def test_cc_ledger_parity(graph, jobs):
+    base = _run(graph, _assignment(graph), ConnectedComponents)
+    results = _run_concurrently(graph, ConnectedComponents, jobs=jobs)
+    assert len(results) == jobs
+    for par in results:
+        _assert_identical(base, par)

@@ -53,6 +53,21 @@ class TestExtract:
         with pytest.raises(PartitionError):
             extract_subgraph(triangle, np.array([5]))
 
+    def test_unsorted_duplicate_ids_match_sorted_distinct(self, grid8x8):
+        ids = np.array([18, 9, 17, 9, 10, 18, 18])
+        sub = extract_subgraph(grid8x8, ids)
+        ref = extract_subgraph(grid8x8, np.array([9, 10, 17, 18]))
+        assert np.array_equal(sub.global_ids, [9, 10, 17, 18])
+        assert np.array_equal(sub.local_of, ref.local_of)
+        assert sub.graph == ref.graph
+        assert sub.num_cut_arcs == ref.num_cut_arcs
+        assert sub.num_total_arcs == ref.num_total_arcs
+
+    @pytest.mark.parametrize("bad", [64, -1])
+    def test_out_of_range_among_valid_ids(self, grid8x8, bad):
+        with pytest.raises(PartitionError):
+            extract_subgraph(grid8x8, np.array([3, bad, 3, 1]))
+
     def test_bad_mask_length(self, triangle):
         with pytest.raises(PartitionError):
             extract_subgraph(triangle, np.zeros(2, dtype=bool))
